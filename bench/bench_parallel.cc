@@ -1,7 +1,9 @@
-// Parallel workload scaling: RunWorkloadParallel partitions the tuple
-// DAG into independent components and fans them out across threads with
-// bit-reproducible results. This bench measures the speedup and verifies
-// thread-count invariance of the outputs.
+// Parallel workload scaling: Engine::InferBatch partitions the tuple DAG
+// into independent components and fans them out across threads with
+// bit-reproducible results. Each row builds an Engine capped at that
+// many concurrent components on the process-wide pool. This bench
+// measures the speedup and verifies thread-count invariance of the
+// outputs.
 
 #include <cstdio>
 #include <string>
@@ -9,8 +11,8 @@
 
 #include "bench_common.h"
 #include "bn/bayes_net.h"
+#include "core/engine.h"
 #include "core/learner.h"
-#include "core/workload_parallel.h"
 #include "expfw/networks.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -56,9 +58,11 @@ int main(int argc, char** argv) {
   double base_secs = 0.0;
   for (size_t threads : {1u, 2u, 4u, 8u, 16u}) {
     WorkloadStats stats;
-    auto dists = RunWorkloadParallel(*model, workload,
-                                     SamplingMode::kTupleDag, opts,
-                                     threads, &stats);
+    EngineOptions eo;
+    eo.max_parallelism = threads;
+    Engine engine(&*model, eo);
+    auto dists =
+        engine.InferBatch(workload, SamplingMode::kTupleDag, opts, &stats);
     if (!dists.ok()) {
       std::fprintf(stderr, "failed: %s\n",
                    dists.status().ToString().c_str());

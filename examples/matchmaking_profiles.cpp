@@ -12,7 +12,7 @@
 #include "bn/bayes_net.h"
 #include "core/learner.h"
 #include "core/workload.h"
-#include "pdb/query.h"
+#include "pdb/plan.h"
 #include "util/rng.h"
 
 namespace {
@@ -135,16 +135,24 @@ int main() {
   ValueId ms = schema.attr(edu).Find("v2");
 
   Predicate wealthy = Predicate::Eq(inc, inc200).And(Predicate::Eq(nw, nw1m));
+  PlanPtr wealthy_plan = SelectPlan(wealthy, ScanPlan(0));
+  auto wealthy_count = EvaluateCount(*wealthy_plan, {&*db});
+  auto wealthy_exists = EvaluateExists(*wealthy_plan, {&*db});
+  if (!wealthy_count.ok() || !wealthy_exists.ok()) return 1;
   std::printf("Q1: expected number of profiles with top income AND top net"
               " worth: %.1f\n",
-              ExpectedCount(*db, wealthy));
+              wealthy_count->expected.lo);
   std::printf("    P(at least one such profile) = %.6f\n",
-              ProbExists(*db, wealthy));
+              wealthy_exists->prob.lo);
 
   Predicate grad = Predicate::Eq(edu, ms);
-  auto count_dist = CountDistribution(*db, grad.And(wealthy));
+  auto count =
+      EvaluateCount(*SelectPlan(grad.And(wealthy), ScanPlan(0)), {&*db});
+  if (!count.ok() || !count->has_distribution) return 1;
   double p10 = 0.0;
-  for (size_t k = 10; k < count_dist.size(); ++k) p10 += count_dist[k];
+  for (size_t k = 10; k < count->distribution.size(); ++k) {
+    p10 += count->distribution[k];
+  }
   std::printf("Q2: P(>= 10 wealthy graduate-degree profiles) = %.4f\n", p10);
 
   // Ground truth comparison: the BN tells us the true joint probability

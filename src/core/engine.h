@@ -4,8 +4,7 @@
 // Every legacy entry point is a stateless free function that rebuilds its
 // working state per call — InferSingleAttribute re-derives matcher
 // scratch, each RunWorkload constructs a fresh GibbsSampler (and with it
-// a cold CpdCache), and RunWorkloadParallel used to spawn std::threads
-// per invocation. An Engine inverts that: it owns a loaded MrslModel, a
+// a cold CpdCache). An Engine inverts that: it owns a loaded MrslModel, a
 // long-lived work-stealing thread pool, and a checkout pool of reusable
 // InferenceContexts, so a steady stream of batched requests executes with
 // zero per-request index, cache, or thread construction.
@@ -15,10 +14,9 @@
 // components) and gives each component an RNG stream seeded by
 // WorkloadComponentSeed — a pure function of the request seed and the
 // component's tuples. Results are therefore bit-identical for any thread
-// count, any EngineOptions, and any interleaving with other batches, and
-// they match the legacy RunWorkloadParallel output exactly. Context reuse
-// is invisible in the output: a warm CpdCache only returns conditionals
-// that recomputation would produce bit-for-bit.
+// count, any EngineOptions, and any interleaving with other batches.
+// Context reuse is invisible in the output: a warm CpdCache only returns
+// conditionals that recomputation would produce bit-for-bit.
 
 #ifndef MRSL_CORE_ENGINE_H_
 #define MRSL_CORE_ENGINE_H_
@@ -46,9 +44,9 @@ namespace mrsl {
 class ProbDatabase;
 
 /// Deterministic per-component seed: combines the request's base seed
-/// with an order-independent hash of the component's tuples. Shared by
-/// the engine and the legacy parallel runner so both produce identical
-/// streams (and exposed for the equivalence tests).
+/// with an order-independent hash of the component's tuples (TupleHash,
+/// so that hash's constants fix every Gibbs stream). Exposed for the
+/// equivalence tests.
 uint64_t WorkloadComponentSeed(uint64_t base, const std::vector<Tuple>& tuples);
 
 /// One worker's reusable inference state: a persistent GibbsSampler

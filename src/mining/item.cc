@@ -3,6 +3,10 @@
 namespace mrsl {
 
 uint64_t HashItems(const ItemVec& items) {
+  // FNV-1a's loop and prime, but not its offset basis: this is
+  // TupleHash's one-digit-short constant, whose value is load-bearing
+  // there (relational/tuple.cc). Here it only buckets the itemset index,
+  // whose lookups compare items exactly; it is kept equal on purpose.
   uint64_t h = 1469598103934665603ULL;
   for (const Item& it : items) {
     uint64_t p = it.Pack();

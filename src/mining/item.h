@@ -34,7 +34,8 @@ struct Item {
 /// A sorted set of items over pairwise-distinct attributes.
 using ItemVec = std::vector<Item>;
 
-/// FNV-1a hash over the packed items of a *sorted* item vector.
+/// FNV-1a-style hash over the packed items of a *sorted* item vector
+/// (non-standard offset; see item.cc).
 uint64_t HashItems(const ItemVec& items);
 
 /// Bitmask of the attributes mentioned by `items`.

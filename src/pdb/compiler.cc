@@ -16,27 +16,30 @@
 //
 // Every interval this file produces is contained in the interval the
 // fixed dissociation of EvaluatePlan would report for the same event:
-// the base rules are identical formulas over operand intervals that are
-// themselves contained (monotone rules preserve containment), extra
-// exactness only shrinks intervals, and refinement intersects. The
-// differential suite pins that containment on randomized plans.
+// the base rules are the same functions (pdb/rules.h) over operand
+// intervals that are themselves contained (monotone rules preserve
+// containment), extra exactness only shrinks intervals, and refinement
+// intersects. The differential suite pins that containment on
+// randomized plans.
 
 #include "pdb/compiler.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <unordered_map>
 #include <utility>
 
+#include "pdb/rules.h"
 #include "util/timer.h"
 
 namespace mrsl {
 namespace {
 
-double Clamp01(double p) { return std::min(1.0, std::max(0.0, p)); }
+using rules::AltSetMass;
+using rules::Clamp01;
+using rules::Event;
+using rules::EventRef;
 
 // Caps on the factored representation. A row past either cap degrades
 // to its lineage summary and interval (sound, just not refinable); the
@@ -75,10 +78,7 @@ class AtomTable {
     info.key = key;
     info.source = source;
     info.block = block;
-    double mass = 0.0;
-    const Block& blk = sources_[source]->block(block);
-    for (uint32_t j : alts) mass += blk.alternatives[j].prob;
-    info.mass = Clamp01(mass);
+    info.mass = AltSetMass(*sources_[source], block, alts);
     info.alts = std::move(alts);
     atoms_.push_back(std::move(info));
     uint32_t id = static_cast<uint32_t>(atoms_.size() - 1);
@@ -88,6 +88,7 @@ class AtomTable {
 
   const AtomInfo& at(uint32_t id) const { return atoms_[id]; }
   const ProbDatabase& source(uint32_t s) const { return *sources_[s]; }
+  const std::vector<const ProbDatabase*>& sources() const { return sources_; }
 
  private:
   const std::vector<const ProbDatabase*>& sources_;
@@ -244,50 +245,21 @@ class LatticeSearch {
     }
     // Split into independent components (disjuncts sharing no block are
     // independent events) and complement-multiply.
-    std::vector<std::vector<size_t>> comps = Components(dnf);
-    double none_lo = 1.0;
-    double none_hi = 1.0;
+    std::vector<std::vector<size_t>> comps = rules::SharedKeyComponents(
+        dnf.size(), [&](size_t i, auto emit) {
+          for (uint32_t id : dnf[i]) emit(atoms_.at(id).key);
+        });
+    rules::IndependentOr none;
     for (const std::vector<size_t>& comp : comps) {
       ProbInterval p = EvalComponent(dnf, comp, budget / comps.size() +
                                                    (comps.size() == 1 ? 0 : 1));
       if (comps.size() == 1) return p;
-      none_lo *= (1.0 - p.lo);
-      none_hi *= (1.0 - p.hi);
+      none.Add(p);
     }
-    return ProbInterval::Bounds(Clamp01(1.0 - none_lo),
-                                Clamp01(1.0 - none_hi));
+    return none.Result();
   }
 
  private:
-  // Connected components of the shared-block graph over disjuncts,
-  // ordered by ascending first disjunct index.
-  std::vector<std::vector<size_t>> Components(const WorkDnf& dnf) {
-    std::vector<size_t> parent(dnf.size());
-    std::iota(parent.begin(), parent.end(), 0);
-    std::function<size_t(size_t)> find = [&](size_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    std::unordered_map<uint64_t, size_t> owner;
-    for (size_t i = 0; i < dnf.size(); ++i) {
-      for (uint32_t id : dnf[i]) {
-        auto [it, inserted] = owner.emplace(atoms_.at(id).key, i);
-        if (!inserted) parent[find(i)] = find(it->second);
-      }
-    }
-    std::unordered_map<size_t, size_t> slot;
-    std::vector<std::vector<size_t>> comps;
-    for (size_t i = 0; i < dnf.size(); ++i) {
-      auto [it, inserted] = slot.emplace(find(i), comps.size());
-      if (inserted) comps.emplace_back();
-      comps[it->second].push_back(i);
-    }
-    return comps;
-  }
-
   ProbInterval EvalComponent(const WorkDnf& dnf,
                              const std::vector<size_t>& comp, size_t budget) {
     if (comp.size() == 1) {
@@ -313,12 +285,9 @@ class LatticeSearch {
         const std::vector<uint32_t>& more = atoms_.at(dnf[i][0]).alts;
         alts.insert(alts.end(), more.begin(), more.end());
       }
-      std::sort(alts.begin(), alts.end());
-      alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      const Block& blk = atoms_.source(first.source).block(first.block);
-      double mass = 0.0;
-      for (uint32_t j : alts) mass += blk.alternatives[j].prob;
-      return ProbInterval::Exact(Clamp01(mass));
+      rules::SortUnique(&alts);
+      return ProbInterval::Exact(
+          AltSetMass(atoms_.source(first.source), first.block, alts));
     }
 
     // Pick the pivot: the block shared by the most disjuncts (ties to
@@ -399,15 +368,13 @@ class LatticeSearch {
   // The oblivious dissociation bound on a correlated component — the
   // lattice's bottom element and the budget-exhausted fallback.
   ProbInterval Frechet(const WorkDnf& dnf, const std::vector<size_t>& comp) {
-    double lo = 0.0;
-    double hi = 0.0;
+    rules::FrechetOr bound;
     for (size_t i : comp) {
       double p = 1.0;
       for (uint32_t id : dnf[i]) p *= atoms_.at(id).mass;
-      lo = std::max(lo, p);
-      hi += p;
+      bound.Add(ProbInterval::Exact(p));
     }
-    return ProbInterval::Bounds(lo, std::min(1.0, hi));
+    return bound.Result();
   }
 
   const AtomTable& atoms_;
@@ -435,11 +402,6 @@ double RefineCost(const WorkDnf& dnf, const AtomTable& atoms) {
   return cost;
 }
 
-// ---------------------------------------------------------------------------
-// Interval plumbing shared with pdb/plan.cc's rules (same formulas, so
-// compiled intervals stay contained in the fixed-dissociation ones).
-// ---------------------------------------------------------------------------
-
 ProbInterval IntersectIntervals(ProbInterval a, ProbInterval b) {
   ProbInterval out;
   out.lo = std::max(a.lo, b.lo);
@@ -454,43 +416,12 @@ ProbInterval IntersectIntervals(ProbInterval a, ProbInterval b) {
   return out;
 }
 
-std::vector<uint64_t> UnionKeys(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b) {
-  std::vector<uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-bool KeysIntersect(const std::vector<uint64_t>& a,
-                   const std::vector<uint64_t>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia == *ib) return true;
-    if (*ia < *ib) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  return false;
-}
-
-double AltSetMass(const ProbDatabase& db, size_t block,
-                  const std::vector<uint32_t>& alts) {
-  double mass = 0.0;
-  for (uint32_t j : alts) mass += db.block(block).alternatives[j].prob;
-  return Clamp01(mass);
-}
-
 // ---------------------------------------------------------------------------
-// Group combination (project / distinct marginals / EXISTS): the same
-// decision tree as DisjoinEvents, but correlated components keep their
-// concatenated DNF so the anytime loop can refine them later. One
-// PendingGroup per combined output row records the per-component
-// intervals and DNFs; RecombineGroup folds refined components back in.
+// Group combination (project / distinct marginals / EXISTS): the rules'
+// DisjoinEvents, with each correlated component's concatenated DNF
+// parked so the anytime loop can refine it later. One PendingGroup per
+// combined output row records the per-component intervals and DNFs;
+// RecombineGroup folds refined components back in.
 // ---------------------------------------------------------------------------
 
 struct PendingComponent {
@@ -506,14 +437,9 @@ struct PendingGroup {
 
 ProbInterval RecombineGroup(const PendingGroup& group) {
   if (group.components.size() == 1) return group.components[0].prob;
-  double none_lo = 1.0;
-  double none_hi = 1.0;
-  for (const PendingComponent& c : group.components) {
-    none_lo *= (1.0 - c.prob.lo);
-    none_hi *= (1.0 - c.prob.hi);
-  }
-  return ProbInterval::Bounds(Clamp01(1.0 - none_lo),
-                              Clamp01(1.0 - none_hi));
+  rules::IndependentOr none;
+  for (const PendingComponent& c : group.components) none.Add(c.prob);
+  return none.Result();
 }
 
 // Extracts a component's WorkDnf from member rows, or an empty one when
@@ -536,10 +462,11 @@ WorkDnf ComponentDnf(const std::vector<const CRow*>& members) {
   return out;
 }
 
-// OR of member rows: exact where the lineage rules allow, the oblivious
-// dissociation bound where they correlate — with each correlated
-// component's DNF parked in *pending for the lattice walk. `*safe` is
-// cleared exactly when DisjoinEvents would have cleared it.
+// OR of member rows: the rules' DisjoinEvents (exact where the lineage
+// summaries allow, the oblivious dissociation bound where they
+// correlate), with each refinable component's DNF parked in *pending for
+// the lattice walk. `*safe` is cleared exactly when DisjoinEvents would
+// clear it.
 CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
                  AtomTable* atoms, bool* safe, PendingGroup* pending) {
   CRow out;
@@ -562,116 +489,52 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
     return out;
   }
 
-  // Correlation components over the members' block-key summaries.
-  std::vector<size_t> parent(members.size());
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::unordered_map<uint64_t, size_t> owner;
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (uint64_t key : members[i]->lineage.blocks) {
-      auto [it, inserted] = owner.emplace(key, i);
-      if (!inserted) parent[find(i)] = find(it->second);
-    }
+  std::vector<EventRef> events;
+  events.reserve(members.size());
+  for (const CRow* row : members) {
+    events.push_back(EventRef{row->prob, &row->lineage});
   }
-  std::unordered_map<size_t, size_t> slot;
-  std::vector<std::vector<size_t>> comps;
-  for (size_t i = 0; i < members.size(); ++i) {
-    auto [it, inserted] = slot.emplace(find(i), comps.size());
-    if (inserted) comps.emplace_back();
-    comps[it->second].push_back(i);
-  }
-
-  std::vector<PendingComponent> pcs;
-  std::vector<const Dnf*> comp_rows;
+  std::vector<std::vector<size_t>> comps =
+      rules::CorrelationComponents(events);
+  PendingGroup group;
+  std::vector<Event> merged;
+  merged.reserve(comps.size());
   std::vector<const CRow*> comp_members;
   for (const std::vector<size_t>& comp : comps) {
+    merged.push_back(
+        rules::DisjoinComponent(events, comp, atoms->sources(), safe));
     PendingComponent pc;
-    if (comp.size() == 1) {
-      const CRow& row = *members[comp[0]];
-      pc.prob = row.prob;
-      if (!row.prob.exact() && row.dnf.tracked) {
-        pc.correlated = true;
-        pc.dnf = ComponentDnf({&row});
-      }
-      out.lineage.blocks = UnionKeys(out.lineage.blocks, row.lineage.blocks);
-      pcs.push_back(std::move(pc));
-      continue;
+    pc.prob = merged.back().prob;
+    // Refinable: a lone non-exact row or a dissociated component. An
+    // exact same-block union is final.
+    pc.correlated = comp.size() == 1
+                        ? !pc.prob.exact() && members[comp[0]]->dnf.tracked
+                        : !merged.back().lineage.simple;
+    if (pc.correlated) {
+      comp_members.clear();
+      for (size_t i : comp) comp_members.push_back(members[i]);
+      pc.dnf = ComponentDnf(comp_members);
     }
-    bool all_simple_same_block = true;
-    const Lineage& first = members[comp[0]]->lineage;
-    for (size_t i : comp) {
-      const Lineage& l = members[i]->lineage;
-      if (!l.simple || l.source != first.source || l.block != first.block) {
-        all_simple_same_block = false;
-        break;
-      }
-    }
-    if (all_simple_same_block) {
-      // Disjoint-union rule: alternative sets of one block union
-      // exactly.
-      std::vector<uint32_t> alts;
-      for (size_t i : comp) {
-        const std::vector<uint32_t>& more = members[i]->lineage.alts;
-        alts.insert(alts.end(), more.begin(), more.end());
-      }
-      std::sort(alts.begin(), alts.end());
-      alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      pc.prob = ProbInterval::Exact(AltSetMass(
-          atoms->source(first.source), first.block, alts));
-      if (comps.size() == 1) {
-        // The whole group is one block: keep the simple lineage (and a
-        // refinable single-atom DNF) like DisjoinEvents does.
-        out.lineage.simple = true;
-        out.lineage.source = first.source;
-        out.lineage.block = first.block;
-        out.lineage.alts = alts;
-        out.dnf.tracked = true;
-        out.dnf.atoms = {
-            atoms->Intern(first.source, first.block, std::move(alts))};
-        out.dnf.ends = {1};
-      }
-      out.lineage.blocks = UnionKeys(out.lineage.blocks, first.blocks);
-      pcs.push_back(std::move(pc));
-      continue;
-    }
-    // Correlated component: the oblivious dissociation bound now, the
-    // concatenated DNF parked for refinement.
-    double lo = 0.0;
-    double hi = 0.0;
-    comp_members.clear();
-    for (size_t i : comp) {
-      lo = std::max(lo, members[i]->prob.lo);
-      hi += members[i]->prob.hi;
-      out.lineage.blocks =
-          UnionKeys(out.lineage.blocks, members[i]->lineage.blocks);
-      comp_members.push_back(members[i]);
-    }
-    pc.prob = ProbInterval::Bounds(lo, std::min(1.0, hi));
-    pc.correlated = true;
-    pc.dnf = ComponentDnf(comp_members);
-    *safe = false;
-    pcs.push_back(std::move(pc));
+    group.components.push_back(std::move(pc));
   }
+  Event combined = rules::IndependentUnion(std::move(merged));
+  out.prob = combined.prob;
+  out.lineage = std::move(combined.lineage);
 
-  // Components are block-disjoint, hence independent: complement-
-  // multiply (the monotone rule maps interval endpoints directly).
-  PendingGroup group;
-  group.components = std::move(pcs);
-  out.prob = RecombineGroup(group);
-
-  // Keep the group's OR as the row's own DNF when everything tracked —
-  // parents (nested projects, joins above projects) then stay factored.
-  if (!out.dnf.tracked) {
-    comp_rows.clear();
-    for (const CRow* row : members) comp_rows.push_back(&row->dnf);
-    Dnf merged;
-    if (DisjoinDnf(comp_rows, &merged)) out.dnf = std::move(merged);
+  if (out.lineage.simple) {
+    // The whole group is one block: a refinable single-atom DNF.
+    out.dnf.tracked = true;
+    out.dnf.atoms = {atoms->Intern(out.lineage.source, out.lineage.block,
+                                   out.lineage.alts)};
+    out.dnf.ends = {1};
+  } else {
+    // Keep the group's OR as the row's own DNF when everything tracked —
+    // parents (nested projects, joins above projects) then stay factored.
+    std::vector<const Dnf*> parts;
+    parts.reserve(members.size());
+    for (const CRow* row : members) parts.push_back(&row->dnf);
+    Dnf dnf;
+    if (DisjoinDnf(parts, &dnf)) out.dnf = std::move(dnf);
   }
 
   if (pending != nullptr) *pending = std::move(group);
@@ -681,15 +544,6 @@ CRow DisjoinRows(const std::vector<const CRow*>& members, Tuple tuple,
 // ---------------------------------------------------------------------------
 // The factored evaluator: EvalNode's operators with DNF bookkeeping.
 // ---------------------------------------------------------------------------
-
-Status ValidateSource(size_t source,
-                      const std::vector<const ProbDatabase*>& sources) {
-  if (source >= sources.size() || sources[source] == nullptr) {
-    return Status::InvalidArgument("scan source out of range: " +
-                                   std::to_string(source));
-  }
-  return Status::OK();
-}
 
 class CompiledEval {
  public:
@@ -804,7 +658,7 @@ class CompiledEval {
 
  private:
   Result<CTable> EvalScan(const PlanNode& node) {
-    MRSL_RETURN_IF_ERROR(ValidateSource(node.source, sources_));
+    MRSL_RETURN_IF_ERROR(rules::ValidateSource(node.source, sources_));
     const ProbDatabase& db = *sources_[node.source];
     CTable out;
     out.num_attrs = db.schema().num_attrs();
@@ -904,52 +758,37 @@ class CompiledEval {
     return out;
   }
 
-  // AND of two rows. Returns false when the pair is impossible (exactly
-  // zero): simple same-block events with disjoint alternative sets, or
-  // tracked DNFs whose every product disjunct died. `safe_` mirrors
-  // ConjoinEvents — cleared whenever the LINEAGE rules alone would have
-  // dissociated, even where the DNF recovered exactness.
+  // AND of two rows: the rules' ConjoinEvents, with the DNFs conjoined
+  // alongside. Returns false when the pair is impossible (exactly zero):
+  // simple same-block events with disjoint alternative sets, or tracked
+  // DNFs whose every product disjunct died. `safe_` is cleared whenever
+  // the lineage rules alone dissociated, even where the DNF recovered
+  // exactness.
   bool ConjoinRows(const CRow& a, const CRow& b, CRow* out) {
-    const Lineage& la = a.lineage;
-    const Lineage& lb = b.lineage;
-    if (la.simple && lb.simple && la.source == lb.source &&
-        la.block == lb.block) {
-      std::vector<uint32_t> alts;
-      std::set_intersection(la.alts.begin(), la.alts.end(), lb.alts.begin(),
-                            lb.alts.end(), std::back_inserter(alts));
-      if (alts.empty()) return false;
-      out->lineage.simple = true;
-      out->lineage.source = la.source;
-      out->lineage.block = la.block;
-      out->lineage.blocks = la.blocks;
-      out->prob = ProbInterval::Exact(
-          AltSetMass(atoms_->source(la.source), la.block, alts));
+    bool exact = true;
+    bool impossible = false;
+    Event ev = rules::ConjoinEvents(EventRef{a.prob, &a.lineage},
+                                    EventRef{b.prob, &b.lineage}, sources_,
+                                    &exact, &impossible);
+    if (impossible) return false;
+    out->prob = ev.prob;
+    out->lineage = std::move(ev.lineage);
+    if (out->lineage.simple) {
+      // Same block: the intersected alternative set is one atom.
       out->dnf.tracked = true;
-      out->dnf.atoms = {atoms_->Intern(la.source, la.block, alts)};
+      out->dnf.atoms = {atoms_->Intern(out->lineage.source,
+                                       out->lineage.block, out->lineage.alts)};
       out->dnf.ends = {1};
-      out->lineage.alts = std::move(alts);
       return true;
     }
-
-    out->lineage.blocks = UnionKeys(la.blocks, lb.blocks);
-    bool independent = !KeysIntersect(la.blocks, lb.blocks);
-    bool impossible = false;
+    if (!exact) safe_ = false;
     bool tracked = a.dnf.tracked && b.dnf.tracked &&
                    ConjoinDnf(a.dnf, b.dnf, atoms_, &out->dnf, &impossible);
-    if (!independent) safe_ = false;
     if (tracked && impossible) return false;
-
-    if (independent) {
-      out->prob = ProbInterval::Bounds(a.prob.lo * b.prob.lo,
-                                       a.prob.hi * b.prob.hi);
-    } else if (tracked && out->dnf.disjuncts() == 1) {
+    if (!exact && tracked && out->dnf.disjuncts() == 1) {
       // The conjunction collapsed to one conjunction of atoms over
       // distinct blocks: exact, where the summary rules only bound.
       out->prob = ProbInterval::Exact(DisjunctMass(out->dnf, 0, *atoms_));
-    } else {
-      out->prob = ProbInterval::Bounds(
-          std::max(0.0, a.prob.lo + b.prob.lo - 1.0),
-          std::min(a.prob.hi, b.prob.hi));
     }
     return true;
   }

@@ -3,22 +3,11 @@
 #include <cstdio>
 
 #include "util/string_util.h"
+#include "util/wire.h"
 
 namespace mrsl {
 
 namespace {
-
-// FNV-1a, 64-bit: stable across platforms and dependency-free. Digest
-// keys must survive process restarts (dashboards join on them), so no
-// std::hash (implementation-defined) and no seed.
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // Predicate::ToString with every literal replaced by "?". Atom order is
 // preserved: "a=X AND b=Y" and "b=Y AND a=X" are different shapes (the
@@ -130,7 +119,7 @@ Result<QueryFingerprint> FingerprintPlan(
       out.normalized = "count(" + *body + ")";
       break;
   }
-  out.hash = Fnv1a64(out.normalized);
+  out.hash = wire::Fnv1a64(out.normalized);
   return out;
 }
 

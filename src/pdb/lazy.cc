@@ -2,13 +2,15 @@
 // predicate three-valued on the raw tuple: rows decided true/false by
 // their observed cells alone short-circuit without deriving Δt (counted
 // in short_circuits_). Only genuinely uncertain rows are materialized,
-// memoized per distinct tuple. CountDistribution is the standard
-// Poisson-binomial DP over per-row probabilities.
+// memoized per distinct tuple. CountDistribution runs the plan
+// evaluator's Poisson-binomial DP (pdb/rules.h) over per-row
+// probabilities.
 
 #include "pdb/lazy.h"
 
 #include <unordered_set>
 
+#include "pdb/rules.h"
 #include "pdb/store.h"
 
 namespace mrsl {
@@ -181,18 +183,14 @@ Result<double> LazyDeriver::ProbExists(const Predicate& pred) {
 
 Result<std::vector<double>> LazyDeriver::CountDistribution(
     const Predicate& pred) {
-  std::vector<double> dist(1, 1.0);
+  std::vector<double> bernoullis;
+  bernoullis.reserve(rel_->num_rows());
   for (size_t r = 0; r < rel_->num_rows(); ++r) {
     auto p = RowProbability(r, pred);
     if (!p.ok()) return p.status();
-    double q = *p;
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
+    bernoullis.push_back(*p);
   }
-  return dist;
+  return rules::PoissonBinomial(bernoullis);
 }
 
 }  // namespace mrsl

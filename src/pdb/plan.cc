@@ -9,7 +9,9 @@
 // dissociates: Frechet-style oblivious bounds ([max(0, p+q-1), min(p,q)]
 // for AND, [max(p,q), min(1, p+q)] for OR) replace the point estimate.
 // All combination rules are monotone in their operands, so interval
-// endpoints propagate soundly through arbitrarily nested plans.
+// endpoints propagate soundly through arbitrarily nested plans. The rules
+// are declared in pdb/rules.h and defined here; the compiler and the
+// lazy deriver call the same definitions.
 //
 // The Monte-Carlo oracle partitions trials into fixed chunks, seeds each
 // chunk purely from (seed, chunk index), tallies integers, and merges in
@@ -26,190 +28,100 @@
 #include <utility>
 
 #include "pdb/columnar.h"
+#include "pdb/rules.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mrsl {
-namespace {
+namespace rules {
 
-double Clamp01(double p) { return std::min(1.0, std::max(0.0, p)); }
+Status ValidateSource(size_t source,
+                      const std::vector<const ProbDatabase*>& sources) {
+  if (source >= sources.size() || sources[source] == nullptr) {
+    return Status::InvalidArgument("scan source out of range: " +
+                                   std::to_string(source));
+  }
+  return Status::OK();
+}
 
-// Sorted-unique merge of two block-key sets.
-std::vector<uint64_t> UnionKeys(const std::vector<uint64_t>& a,
-                                const std::vector<uint64_t>& b) {
-  std::vector<uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
+std::vector<std::vector<size_t>> CorrelationComponents(
+    const std::vector<EventRef>& events) {
+  return SharedKeyComponents(events.size(), [&events](size_t i, auto emit) {
+    for (uint64_t key : events[i].lineage->blocks) emit(key);
+  });
+}
+
+Event DisjoinComponent(const std::vector<EventRef>& events,
+                       const std::vector<size_t>& comp,
+                       const std::vector<const ProbDatabase*>& sources,
+                       bool* exact) {
+  const Lineage& first = *events[comp[0]].lineage;
+  if (comp.size() == 1) return Event{events[comp[0]].prob, first};
+  bool all_simple_same_block = true;
+  for (size_t i : comp) {
+    const Lineage& l = *events[i].lineage;
+    if (!l.simple || l.source != first.source || l.block != first.block) {
+      all_simple_same_block = false;
+      break;
+    }
+  }
+  Event ev;
+  if (all_simple_same_block) {
+    // Disjoint-union rule: the events are alternative sets of one
+    // block, so their union's mass is exact.
+    std::vector<uint32_t> alts;
+    for (size_t i : comp) {
+      const std::vector<uint32_t>& more = events[i].lineage->alts;
+      alts.insert(alts.end(), more.begin(), more.end());
+    }
+    SortUnique(&alts);
+    ev.lineage.simple = true;
+    ev.lineage.source = first.source;
+    ev.lineage.block = first.block;
+    ev.lineage.blocks = first.blocks;
+    ev.prob = ProbInterval::Exact(
+        AltSetMass(*sources[first.source], first.block, alts));
+    ev.lineage.alts = std::move(alts);
+    return ev;
+  }
+  // Correlated component: dissociate to Frechet disjunction bounds.
+  FrechetOr bound;
+  for (size_t i : comp) {
+    bound.Add(events[i].prob);
+    ev.lineage.blocks =
+        UnionKeys(ev.lineage.blocks, events[i].lineage->blocks);
+  }
+  ev.prob = bound.Result();
+  *exact = false;
+  return ev;
+}
+
+Event IndependentUnion(std::vector<Event> components) {
+  if (components.size() == 1) return std::move(components[0]);
+  Event out;
+  IndependentOr none;
+  for (const Event& ev : components) {
+    none.Add(ev.prob);
+    out.lineage.blocks = UnionKeys(out.lineage.blocks, ev.lineage.blocks);
+  }
+  out.prob = none.Result();
   return out;
 }
 
-bool KeysIntersect(const std::vector<uint64_t>& a,
-                   const std::vector<uint64_t>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia == *ib) return true;
-    if (*ia < *ib) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  return false;
-}
-
-// Clamped mass of an alternative set of one block (alts sorted, unique).
-double AltSetMass(const ProbDatabase& db, size_t block,
-                  const std::vector<uint32_t>& alts) {
-  double mass = 0.0;
-  for (uint32_t j : alts) mass += db.block(block).alternatives[j].prob;
-  return Clamp01(mass);
-}
-
-// An owned row event (the output of a combination rule).
-struct Event {
-  ProbInterval prob;
-  Lineage lineage;
-};
-
-// A borrowed row event: the interval by value (16 bytes), the lineage by
-// pointer into whoever stores the row — PlanRow or ColumnBatch. The
-// combination rules below read EventRefs so neither evaluator has to
-// copy lineage vectors just to combine rows.
-struct EventRef {
-  ProbInterval prob;
-  const Lineage* lineage;
-};
-
-// Disjoint-set union over event indices, used to cluster events that
-// share base blocks (the correlation structure).
-class Dsu {
- public:
-  explicit Dsu(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
-
-// Groups `events` into connected components of the shared-block graph,
-// each component listed by ascending first event index (deterministic).
-std::vector<std::vector<size_t>> CorrelationComponents(
-    const std::vector<EventRef>& events) {
-  Dsu dsu(events.size());
-  std::unordered_map<uint64_t, size_t> owner;  // block key -> event index
-  for (size_t i = 0; i < events.size(); ++i) {
-    for (uint64_t key : events[i].lineage->blocks) {
-      auto [it, inserted] = owner.emplace(key, i);
-      if (!inserted) dsu.Union(i, it->second);
-    }
-  }
-  std::unordered_map<size_t, size_t> slot;  // root -> component position
-  std::vector<std::vector<size_t>> components;
-  for (size_t i = 0; i < events.size(); ++i) {
-    size_t root = dsu.Find(i);
-    auto [it, inserted] = slot.emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(i);
-  }
-  return components;
-}
-
-// OR of all `events`. Exact when the correlation components are each a
-// single event or a set of simple events on one shared block; otherwise
-// the component dissociates to Frechet bounds and *exact is cleared.
 Event DisjoinEvents(const std::vector<EventRef>& events,
                     const std::vector<const ProbDatabase*>& sources,
                     bool* exact) {
   assert(!events.empty());
   if (events.size() == 1) return Event{events[0].prob, *events[0].lineage};
-
-  std::vector<std::vector<size_t>> components =
-      CorrelationComponents(events);
-
+  std::vector<std::vector<size_t>> components = CorrelationComponents(events);
   std::vector<Event> merged;
   merged.reserve(components.size());
   for (const std::vector<size_t>& comp : components) {
-    if (comp.size() == 1) {
-      merged.push_back(
-          Event{events[comp[0]].prob, *events[comp[0]].lineage});
-      continue;
-    }
-    bool all_simple_same_block = true;
-    for (size_t i : comp) {
-      const Lineage& l = *events[i].lineage;
-      if (!l.simple || l.source != events[comp[0]].lineage->source ||
-          l.block != events[comp[0]].lineage->block) {
-        all_simple_same_block = false;
-        break;
-      }
-    }
-    Event ev;
-    if (all_simple_same_block) {
-      // Disjoint-union rule: the events are alternative sets of one
-      // block, so their union's mass is exact.
-      const Lineage& first = *events[comp[0]].lineage;
-      std::vector<uint32_t> alts;
-      for (size_t i : comp) {
-        const std::vector<uint32_t>& more = events[i].lineage->alts;
-        alts.insert(alts.end(), more.begin(), more.end());
-      }
-      std::sort(alts.begin(), alts.end());
-      alts.erase(std::unique(alts.begin(), alts.end()), alts.end());
-      ev.lineage.simple = true;
-      ev.lineage.source = first.source;
-      ev.lineage.block = first.block;
-      ev.lineage.blocks = first.blocks;
-      ev.prob = ProbInterval::Exact(
-          AltSetMass(*sources[first.source], first.block, alts));
-      ev.lineage.alts = std::move(alts);
-    } else {
-      // Correlated component: dissociate to Frechet disjunction bounds.
-      double lo = 0.0;
-      double hi = 0.0;
-      for (size_t i : comp) {
-        lo = std::max(lo, events[i].prob.lo);
-        hi += events[i].prob.hi;
-        ev.lineage.blocks =
-            UnionKeys(ev.lineage.blocks, events[i].lineage->blocks);
-      }
-      ev.prob = ProbInterval::Bounds(lo, std::min(1.0, hi));
-      *exact = false;
-    }
-    merged.push_back(std::move(ev));
+    merged.push_back(DisjoinComponent(events, comp, sources, exact));
   }
-
-  if (merged.size() == 1) return merged[0];
-
-  // Components touch disjoint blocks, hence are independent: the union
-  // complement-multiplies. 1 - prod(1 - p) is monotone in every p, so
-  // interval endpoints map through directly.
-  Event out;
-  double none_lo = 1.0;
-  double none_hi = 1.0;
-  for (const Event& ev : merged) {
-    none_lo *= (1.0 - ev.prob.lo);
-    none_hi *= (1.0 - ev.prob.hi);
-    out.lineage.blocks = UnionKeys(out.lineage.blocks, ev.lineage.blocks);
-  }
-  out.prob = ProbInterval::Bounds(Clamp01(1.0 - none_lo),
-                                  Clamp01(1.0 - none_hi));
-  return out;
+  return IndependentUnion(std::move(merged));
 }
 
-// AND of two row events (Join). Sets *impossible for same-block events
-// with non-intersecting alternative sets (the joined pair can never
-// coexist); clears *exact when dissociation bounds were needed.
 Event ConjoinEvents(const EventRef& a, const EventRef& b,
                     const std::vector<const ProbDatabase*>& sources,
                     bool* exact, bool* impossible) {
@@ -251,14 +163,27 @@ Event ConjoinEvents(const EventRef& a, const EventRef& b,
   return out;
 }
 
-Status ValidateSource(size_t source,
-                      const std::vector<const ProbDatabase*>& sources) {
-  if (source >= sources.size() || sources[source] == nullptr) {
-    return Status::InvalidArgument("scan source out of range: " +
-                                   std::to_string(source));
+std::vector<double> PoissonBinomial(const std::vector<double>& bernoullis) {
+  std::vector<double> dist(1, 1.0);
+  for (double q : bernoullis) {
+    dist.push_back(0.0);
+    for (size_t k = dist.size() - 1; k > 0; --k) {
+      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
+    }
+    dist[0] *= (1.0 - q);
   }
-  return Status::OK();
+  return dist;
 }
+
+}  // namespace rules
+
+namespace {
+
+using rules::AltSetMass;
+using rules::Clamp01;
+using rules::Event;
+using rules::EventRef;
+using rules::ValidateSource;
 
 Attribute RenamedAttribute(const Attribute& src, std::string name) {
   std::vector<std::string> labels;
@@ -391,7 +316,7 @@ Result<PlanResult> EvalNode(const PlanNode& node,
           group_events.push_back(
               EventRef{child->rows[r].prob, &child->rows[r].lineage});
         }
-        Event ev = DisjoinEvents(group_events, sources, &out.safe);
+        Event ev = rules::DisjoinEvents(group_events, sources, &out.safe);
         out.rows.push_back(PlanRow{std::move(proj), ev.prob,
                                    std::move(ev.lineage)});
       }
@@ -441,9 +366,9 @@ Result<PlanResult> EvalNode(const PlanNode& node,
         for (size_t r : *left_matches[l]) {
           const PlanRow& rr = right->rows[r];
           bool impossible = false;
-          Event ev = ConjoinEvents(EventRef{lr.prob, &lr.lineage},
-                                   EventRef{rr.prob, &rr.lineage}, sources,
-                                   &out.safe, &impossible);
+          Event ev = rules::ConjoinEvents(
+              EventRef{lr.prob, &lr.lineage}, EventRef{rr.prob, &rr.lineage},
+              sources, &out.safe, &impossible);
           if (impossible) continue;
           Tuple joined(ln + rn);
           for (AttrId a = 0; a < ln; ++a) {
@@ -694,9 +619,7 @@ void DisjoinGroupToBatch(const ColumnBatch& child, const uint32_t* rows,
           s->alt_set.insert(s->alt_set.end(), lt.alts_begin(r),
                             lt.alts_begin(r) + lt.alts_size(r));
         }
-        std::sort(s->alt_set.begin(), s->alt_set.end());
-        s->alt_set.erase(std::unique(s->alt_set.begin(), s->alt_set.end()),
-                         s->alt_set.end());
+        rules::SortUnique(&s->alt_set);
         clo = chi = AltSetMass(*sources[lt.source[r0]],
                                static_cast<size_t>(lt.block[r0]), s->alt_set);
         if (lone) {
@@ -1105,7 +1028,7 @@ std::vector<DistinctMarginal> DistinctMarginals(
       group_events.push_back(
           EventRef{result.rows[r].prob, &result.rows[r].lineage});
     }
-    Event ev = DisjoinEvents(group_events, sources, &exact);
+    Event ev = rules::DisjoinEvents(group_events, sources, &exact);
     out.push_back(DistinctMarginal{std::move(tuple), ev.prob});
   }
   return out;
@@ -1125,7 +1048,7 @@ ExistsResult ExistsFromResult(
   for (const PlanRow& row : result.rows) {
     events.push_back(EventRef{row.prob, &row.lineage});
   }
-  Event ev = DisjoinEvents(events, sources, &out.safe);
+  Event ev = rules::DisjoinEvents(events, sources, &out.safe);
   out.prob = ev.prob;
   return out;
 }
@@ -1170,7 +1093,8 @@ CountResult CountFromResult(
     events.push_back(EventRef{row.prob, &row.lineage});
   }
   std::vector<double> bernoullis;
-  for (const std::vector<size_t>& comp : CorrelationComponents(events)) {
+  for (const std::vector<size_t>& comp :
+       rules::CorrelationComponents(events)) {
     if (comp.size() == 1) {
       bernoullis.push_back(events[comp[0]].prob.lo);
       continue;
@@ -1191,8 +1115,7 @@ CountResult CountFromResult(
       mass += events[i].prob.lo;
     }
     if (mergeable) {
-      std::sort(seen.begin(), seen.end());
-      seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+      rules::SortUnique(&seen);
       // Overlapping alternative sets would let one world satisfy two
       // rows at once — the contribution is no longer Bernoulli.
       if (seen.size() != distinct_alts) mergeable = false;
@@ -1201,16 +1124,8 @@ CountResult CountFromResult(
     bernoullis.push_back(Clamp01(mass));
   }
 
-  std::vector<double> dist(1, 1.0);
-  for (double q : bernoullis) {
-    dist.push_back(0.0);
-    for (size_t k = dist.size() - 1; k > 0; --k) {
-      dist[k] = dist[k] * (1.0 - q) + dist[k - 1] * q;
-    }
-    dist[0] *= (1.0 - q);
-  }
   out.has_distribution = true;
-  out.distribution = std::move(dist);
+  out.distribution = rules::PoissonBinomial(bernoullis);
   return out;
 }
 

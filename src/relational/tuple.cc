@@ -1,7 +1,7 @@
 // The matching/subsumption predicates reduce to bit arithmetic on
 // CompleteMask() (one bit per assigned attribute, hence the 64-attribute
 // schema cap): proper-subset tests are mask compares and AgreesOn walks
-// only the set bits via ctz. TupleHash is FNV-1a over the raw cell ids;
+// only the set bits via ctz. TupleHash hashes the raw cell ids;
 // kMissingValue hashes like any other value, so incomplete tuples can key
 // hash maps (the tuple-DAG dedup relies on this).
 
@@ -101,7 +101,11 @@ std::string Tuple::ToString(const Schema& schema) const {
 }
 
 size_t TupleHash::operator()(const Tuple& t) const {
-  // FNV-1a over the cell values.
+  // FNV-1a's xor-multiply loop and prime, but NOT its offset basis
+  // (14695981039346656037): this constant is one digit short. It is
+  // load-bearing: WorkloadComponentSeed (core/engine.h) seeds every Gibbs
+  // chain from TupleHash, so changing it moves every derived Δt. Golden
+  // values in relational_tuple_test and core_engine_test pin it.
   uint64_t h = 1469598103934665603ULL;
   for (ValueId v : t.values()) {
     h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));

@@ -1,6 +1,7 @@
 // Tests for the persistent inference engine: bit-equivalence with the
 // legacy per-call path, thread-count-independent determinism, context
-// reuse across successive batches, and the end-to-end batched APIs.
+// reuse across successive batches, the end-to-end batched APIs, and
+// golden values for the per-component seed.
 
 #include "core/engine.h"
 
@@ -231,6 +232,19 @@ TEST_F(EngineTest, EmptyBatchAndValidation) {
   bad.push_back(bn_.ForwardSample(&rng));
   auto result = engine.InferBatch(bad, SamplingMode::kTupleDag, WOpts());
   EXPECT_FALSE(result.ok());
+}
+
+// Golden values, computed independently of this code base: every Gibbs
+// chain is seeded from WorkloadComponentSeed over TupleHash, so a change
+// to either hash moves derived distributions (and the derive benchmark's
+// accuracy) without failing any other test.
+TEST(WorkloadComponentSeedTest, GoldenValues) {
+  const Tuple a({1, 2, kMissingValue});
+  const Tuple b({0, 1, 2});
+  EXPECT_EQ(WorkloadComponentSeed(77, {a}), 0x40e19a75606655a4ULL);
+  EXPECT_EQ(WorkloadComponentSeed(77, {a, b}), 0x041a8ab8bb6b3d9aULL);
+  // Order-independent over the component's tuples.
+  EXPECT_EQ(WorkloadComponentSeed(77, {b, a}), 0x041a8ab8bb6b3d9aULL);
 }
 
 TEST(EngineOwnershipTest, OwningEngineOutlivesSourceModel) {

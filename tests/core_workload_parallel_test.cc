@@ -1,13 +1,16 @@
-// Tests for the parallel workload runner: thread-count-independent
-// results, equivalence of per-component work, and validation.
+// Tests for parallel workload inference through Engine::InferBatch:
+// results independent of the concurrency cap, equivalence with the
+// sequential runner, deduplication, and validation.
 
-#include "core/workload_parallel.h"
+#include "core/engine.h"
 
 #include <gtest/gtest.h>
 
 #include "bn/bayes_net.h"
 #include "bn/exact.h"
 #include "core/learner.h"
+#include "core/tuple_dag.h"
+#include "core/workload.h"
 #include "expfw/metrics.h"
 
 namespace mrsl {
@@ -45,29 +48,33 @@ class WorkloadParallelTest : public ::testing::Test {
     return o;
   }
 
+  Result<std::vector<JointDist>> InferParallel(
+      const std::vector<Tuple>& workload, SamplingMode mode,
+      size_t max_parallelism, WorkloadStats* stats = nullptr) {
+    EngineOptions eo;
+    eo.max_parallelism = max_parallelism;
+    Engine engine(&model_, eo);
+    return engine.InferBatch(workload, mode, WOpts(), stats);
+  }
+
   BayesNet bn_;
   MrslModel model_;
   std::vector<Tuple> workload_;
 };
 
-TEST_F(WorkloadParallelTest, RejectsAllAtATime) {
-  EXPECT_FALSE(RunWorkloadParallel(model_, workload_,
-                                   SamplingMode::kAllAtATime, WOpts())
-                   .ok());
-}
-
 TEST_F(WorkloadParallelTest, EmptyWorkload) {
-  auto result = RunWorkloadParallel(model_, {}, SamplingMode::kTupleDag,
-                                    WOpts());
+  auto result = InferParallel({}, SamplingMode::kTupleDag, 4);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
 
+// The concurrency cap (max_parallelism on the shared pool) never changes
+// results, in the tuple-at-a-time mode as well as the DAG mode.
 TEST_F(WorkloadParallelTest, ThreadCountDoesNotChangeResults) {
   for (SamplingMode mode :
        {SamplingMode::kTupleAtATime, SamplingMode::kTupleDag}) {
-    auto one = RunWorkloadParallel(model_, workload_, mode, WOpts(), 1);
-    auto many = RunWorkloadParallel(model_, workload_, mode, WOpts(), 8);
+    auto one = InferParallel(workload_, mode, 1);
+    auto many = InferParallel(workload_, mode, 8);
     ASSERT_TRUE(one.ok());
     ASSERT_TRUE(many.ok());
     ASSERT_EQ(one->size(), many->size());
@@ -80,9 +87,7 @@ TEST_F(WorkloadParallelTest, ThreadCountDoesNotChangeResults) {
 
 TEST_F(WorkloadParallelTest, ResultsAlignedAndNormalized) {
   WorkloadStats stats;
-  auto dists = RunWorkloadParallel(model_, workload_,
-                                   SamplingMode::kTupleDag, WOpts(), 4,
-                                   &stats);
+  auto dists = InferParallel(workload_, SamplingMode::kTupleDag, 4, &stats);
   ASSERT_TRUE(dists.ok());
   ASSERT_EQ(dists->size(), workload_.size());
   for (size_t i = 0; i < workload_.size(); ++i) {
@@ -96,8 +101,7 @@ TEST_F(WorkloadParallelTest, ResultsAlignedAndNormalized) {
 }
 
 TEST_F(WorkloadParallelTest, AccuracyComparableToSequential) {
-  auto par = RunWorkloadParallel(model_, workload_,
-                                 SamplingMode::kTupleDag, WOpts(), 8);
+  auto par = InferParallel(workload_, SamplingMode::kTupleDag, 8);
   auto seq =
       RunWorkload(model_, workload_, SamplingMode::kTupleDag, WOpts());
   ASSERT_TRUE(par.ok());
@@ -116,8 +120,7 @@ TEST_F(WorkloadParallelTest, AccuracyComparableToSequential) {
 TEST_F(WorkloadParallelTest, DuplicateTuplesShareResults) {
   std::vector<Tuple> dup_workload = {workload_[0], workload_[1],
                                      workload_[0], workload_[0]};
-  auto dists = RunWorkloadParallel(model_, dup_workload,
-                                   SamplingMode::kTupleDag, WOpts(), 4);
+  auto dists = InferParallel(dup_workload, SamplingMode::kTupleDag, 4);
   ASSERT_TRUE(dists.ok());
   EXPECT_EQ((*dists)[0].probs(), (*dists)[2].probs());
   EXPECT_EQ((*dists)[0].probs(), (*dists)[3].probs());

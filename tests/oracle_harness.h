@@ -30,8 +30,8 @@ inline Schema TwoAttrSchema() {
   return std::move(s).value();
 }
 
-// Same 3-block database as pdb_query_test: one certain block, one full
-// block, one with mass 0.9 (a possibly-absent tuple).
+// A 3-block database: one certain block, one full block, one with mass
+// 0.9 (a possibly-absent tuple).
 inline ProbDatabase SmallDb() {
   ProbDatabase db(TwoAttrSchema());
   Block b1;
@@ -89,6 +89,35 @@ inline double TrueMarginal(const PlanNode& plan, const ProbDatabase& db,
     }
   });
   return truth;
+}
+
+// Ground-truth distribution of the plan's bag count, by enumeration:
+// entry k = P(count = k), sized to the largest count any world yields.
+inline std::vector<double> TrueCountDistribution(const PlanNode& plan,
+                                                 const ProbDatabase& db) {
+  std::vector<double> dist;
+  ForEachWorldChoices(db, [&](const std::vector<int32_t>& choices, double p) {
+    auto bag = EvaluatePlanInWorld(plan, {&db}, {choices});
+    ASSERT_TRUE(bag.ok());
+    if (dist.size() <= bag->size()) dist.resize(bag->size() + 1, 0.0);
+    dist[bag->size()] += p;
+  });
+  return dist;
+}
+
+// Ground-truth P(plan result is non-empty), by enumeration.
+inline double TrueExists(const PlanNode& plan, const ProbDatabase& db) {
+  std::vector<double> dist = TrueCountDistribution(plan, db);
+  double truth = 0.0;
+  for (size_t k = 1; k < dist.size(); ++k) truth += dist[k];
+  return truth;
+}
+
+// Entry k of a count distribution, zero past its end. The plan DP only
+// emits Bernoullis for blocks that still have rows, so distributions of
+// the same count can differ in length.
+inline double CountAt(const std::vector<double>& dist, size_t k) {
+  return k < dist.size() ? dist[k] : 0.0;
 }
 
 inline Schema ThreeAttrSchema() {

@@ -10,6 +10,7 @@
 #include "bn/bayes_net.h"
 #include "core/learner.h"
 #include "core/workload.h"
+#include "pdb/plan.h"
 #include "pdb/prob_database.h"
 
 namespace mrsl {
@@ -110,14 +111,19 @@ TEST_F(LazyTest, MatchesEagerDerivation) {
         Predicate::Eq(1, 0).And(Predicate::Eq(3, 1))}) {
     auto lazy_count = lazy.ExpectedCount(pred);
     ASSERT_TRUE(lazy_count.ok());
-    double eager_count = ExpectedCount(*db, pred);
+    auto plan = SelectPlan(pred, ScanPlan(0));
+    auto eager_count = EvaluateCount(*plan, {&*db});
+    ASSERT_TRUE(eager_count.ok());
     // Both estimates are Monte-Carlo with modest N; they agree loosely
     // per-query and exactly on decided rows.
-    EXPECT_NEAR(*lazy_count, eager_count, rel_.num_rows() * 0.02);
+    EXPECT_NEAR(*lazy_count, eager_count->expected.lo,
+                rel_.num_rows() * 0.02);
 
     auto lazy_exists = lazy.ProbExists(pred);
     ASSERT_TRUE(lazy_exists.ok());
-    EXPECT_NEAR(*lazy_exists, ProbExists(*db, pred), 0.1);
+    auto eager_exists = EvaluateExists(*plan, {&*db});
+    ASSERT_TRUE(eager_exists.ok());
+    EXPECT_NEAR(*lazy_exists, eager_exists->prob.lo, 0.1);
   }
 }
 

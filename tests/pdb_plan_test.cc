@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -21,8 +22,11 @@
 namespace mrsl {
 namespace {
 
+using oracle_harness::CountAt;
 using oracle_harness::ForEachWorldChoices;
 using oracle_harness::SmallDb;
+using oracle_harness::TrueCountDistribution;
+using oracle_harness::TrueExists;
 using oracle_harness::TrueMarginal;
 using oracle_harness::TwoAttrSchema;
 
@@ -112,24 +116,26 @@ TEST(PlanTest, ProjectIndependentUnionAcrossBlocks) {
   EXPECT_NEAR(by_value[1], 0.75, 1e-12);
 }
 
-TEST(PlanTest, ProjectMatchesProjectDistinct) {
-  // The plan operator agrees with the standalone ProjectDistinct on a
-  // single-relation projection (both exact here).
+TEST(PlanTest, ProjectMatchesEnumeration) {
+  // A single-relation projection is exact, and every distinct value the
+  // enumerated worlds produce appears once with its true marginal.
   ProbDatabase db = SmallDb();
-  auto result = EvaluatePlan(*ProjectPlan({1}, ScanPlan(0)), {&db});
+  auto plan = ProjectPlan({1}, ScanPlan(0));
+  auto result = EvaluatePlan(*plan, {&db});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->safe);
-  auto expected = ProjectDistinct(db, {1});
-  ASSERT_EQ(result->rows.size(), expected.size());
+  std::map<ValueId, double> truth;
+  ForEachWorldChoices(db, [&](const std::vector<int32_t>& choices, double p) {
+    auto bag = EvaluatePlanInWorld(*plan, {&db}, {choices});
+    ASSERT_TRUE(bag.ok());
+    for (const Tuple& t : *bag) truth[t.value(0)] += p;  // distinct per world
+  });
+  ASSERT_EQ(result->rows.size(), truth.size());
   std::map<ValueId, double> plan_probs;
-  std::map<ValueId, double> query_probs;
   for (const PlanRow& row : result->rows) {
     plan_probs[row.tuple.value(0)] = row.prob.lo;
   }
-  for (const ProbTuple& pt : expected) {
-    query_probs[pt.tuple.value(0)] = pt.prob;
-  }
-  for (const auto& [v, p] : query_probs) {
+  for (const auto& [v, p] : truth) {
     EXPECT_NEAR(plan_probs[v], p, 1e-12) << "value " << v;
   }
 }
@@ -245,27 +251,28 @@ TEST(PlanTest, ExistsMatchesEnumeration) {
     ASSERT_TRUE(exists.ok());
     EXPECT_TRUE(exists->safe);
     EXPECT_TRUE(exists->prob.exact());
-    // The legacy single-relation evaluator is the reference.
-    EXPECT_NEAR(exists->prob.lo, ProbExists(db, pred), 1e-12);
+    EXPECT_NEAR(exists->prob.lo, TrueExists(*plan, db), 1e-12);
   }
 }
 
-TEST(PlanTest, CountDistributionMatchesLegacyEvaluator) {
+TEST(PlanTest, CountDistributionMatchesEnumeration) {
   ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);  // nw=500K
-  auto count = EvaluateCount(*SelectPlan(pred, ScanPlan(0)), {&db});
+  auto plan = SelectPlan(Predicate::Eq(1, 1), ScanPlan(0));  // nw=500K
+  auto count = EvaluateCount(*plan, {&db});
   ASSERT_TRUE(count.ok());
   EXPECT_TRUE(count->safe);
   EXPECT_TRUE(count->expected.exact());
-  EXPECT_NEAR(count->expected.lo, ExpectedCount(db, pred), 1e-12);
-  ASSERT_TRUE(count->has_distribution);
-  auto expected = CountDistribution(db, pred);
-  // The plan DP only emits Bernoullis for blocks that still have rows,
-  // so its distribution may be shorter; compare entrywise.
+  std::vector<double> expected = TrueCountDistribution(*plan, db);
+  double mean = 0.0;
   for (size_t k = 0; k < expected.size(); ++k) {
-    double got = k < count->distribution.size() ? count->distribution[k]
-                                                : 0.0;
-    EXPECT_NEAR(got, expected[k], 1e-12) << "count=" << k;
+    mean += static_cast<double>(k) * expected[k];
+  }
+  EXPECT_NEAR(count->expected.lo, mean, 1e-12);
+  ASSERT_TRUE(count->has_distribution);
+  const size_t n = std::max(expected.size(), count->distribution.size());
+  for (size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(CountAt(count->distribution, k), CountAt(expected, k), 1e-12)
+        << "count=" << k;
   }
 }
 

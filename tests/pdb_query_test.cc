@@ -1,42 +1,29 @@
-// Tests for query processing over BID databases: extensional operators
-// checked against exact possible-world enumeration and the Monte-Carlo
-// oracle.
+// Tests for predicates (pdb/query.h) and for single-relation queries
+// over BID databases — select, project, join, EXISTS and COUNT through
+// the plan algebra — checked against exact possible-world enumeration
+// and the Monte-Carlo plan oracle.
 
 #include "pdb/query.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <map>
+#include <vector>
 
+#include "oracle_harness.h"
+#include "pdb/plan.h"
 #include "util/rng.h"
 
 namespace mrsl {
 namespace {
 
-Schema TwoAttrSchema() {
-  auto s = Schema::Create(
-      {Attribute("inc", {"50K", "100K"}), Attribute("nw", {"100K", "500K"})});
-  EXPECT_TRUE(s.ok());
-  return std::move(s).value();
-}
-
-// A 3-block database used across the tests.
-ProbDatabase SmallDb() {
-  ProbDatabase db(TwoAttrSchema());
-  Block b1;  // certain
-  b1.alternatives.push_back({Tuple({1, 1}), 1.0});
-  EXPECT_TRUE(db.AddBlock(b1).ok());
-  Block b2;
-  b2.alternatives.push_back({Tuple({0, 0}), 0.3});
-  b2.alternatives.push_back({Tuple({1, 0}), 0.7});
-  EXPECT_TRUE(db.AddBlock(b2).ok());
-  Block b3;
-  b3.alternatives.push_back({Tuple({0, 1}), 0.5});
-  b3.alternatives.push_back({Tuple({1, 1}), 0.4});  // mass 0.9
-  EXPECT_TRUE(db.AddBlock(b3).ok());
-  return db;
-}
+using oracle_harness::CountAt;
+using oracle_harness::SmallDb;
+using oracle_harness::TrueCountDistribution;
+using oracle_harness::TrueExists;
+using oracle_harness::TrueMarginal;
+using oracle_harness::TwoAttrSchema;
 
 TEST(PredicateTest, EvalAtoms) {
   Predicate p = Predicate::Eq(0, 1);
@@ -98,31 +85,34 @@ TEST(PredicateTest, ToString) {
 
 TEST(QueryTest, SelectKeepsMatchingAlternatives) {
   ProbDatabase db = SmallDb();
-  ProbDatabase sel = Select(db, Predicate::Eq(0, 1));  // inc=100K
-  // Block 1 survives fully, block 2 keeps only its second alternative,
-  // block 3 keeps its second alternative.
-  EXPECT_EQ(sel.num_blocks(), 3u);
-  EXPECT_EQ(sel.block(1).alternatives.size(), 1u);
-  EXPECT_DOUBLE_EQ(sel.block(1).alternatives[0].prob, 0.7);
+  auto sel = EvaluatePlan(*SelectPlan(Predicate::Eq(0, 1), ScanPlan(0)),
+                          {&db});  // inc=100K
+  ASSERT_TRUE(sel.ok());
+  // Block 0 survives fully, block 1 keeps only its second alternative,
+  // block 2 keeps its second alternative.
+  std::map<size_t, std::vector<const PlanRow*>> by_block;
+  for (const PlanRow& row : sel->rows) {
+    by_block[row.lineage.block].push_back(&row);
+  }
+  EXPECT_EQ(by_block.size(), 3u);
+  ASSERT_EQ(by_block[1].size(), 1u);
+  EXPECT_EQ(by_block[1][0]->lineage.alts, std::vector<uint32_t>{1});
+  EXPECT_DOUBLE_EQ(by_block[1][0]->prob.lo, 0.7);
 }
 
 TEST(QueryTest, ExpectedCountMatchesWorldEnumeration) {
   ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);  // nw=500K
-  double expected = ExpectedCount(db, pred);
+  auto plan = SelectPlan(Predicate::Eq(1, 1), ScanPlan(0));  // nw=500K
+  auto count = EvaluateCount(*plan, {&db});
+  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(count->expected.exact());
 
+  std::vector<double> dist = TrueCountDistribution(*plan, db);
   double brute = 0.0;
-  ASSERT_TRUE(db.ForEachWorld(1000,
-                              [&](const std::vector<const Tuple*>& world,
-                                  double p) {
-                                size_t count = 0;
-                                for (const Tuple* t : world) {
-                                  if (pred.Eval(*t)) ++count;
-                                }
-                                brute += p * static_cast<double>(count);
-                              })
-                  .ok());
-  EXPECT_NEAR(expected, brute, 1e-12);
+  for (size_t k = 0; k < dist.size(); ++k) {
+    brute += static_cast<double>(k) * dist[k];
+  }
+  EXPECT_NEAR(count->expected.lo, brute, 1e-12);
 }
 
 TEST(QueryTest, ProbExistsMatchesWorldEnumeration) {
@@ -130,58 +120,52 @@ TEST(QueryTest, ProbExistsMatchesWorldEnumeration) {
   for (const Predicate& pred :
        {Predicate::Eq(0, 0), Predicate::Eq(1, 1),
         Predicate::Eq(0, 1).And(Predicate::Eq(1, 0))}) {
-    double exists = ProbExists(db, pred);
-    double brute = 0.0;
-    ASSERT_TRUE(db.ForEachWorld(1000,
-                                [&](const std::vector<const Tuple*>& world,
-                                    double p) {
-                                  for (const Tuple* t : world) {
-                                    if (pred.Eval(*t)) {
-                                      brute += p;
-                                      return;
-                                    }
-                                  }
-                                })
-                    .ok());
-    EXPECT_NEAR(exists, brute, 1e-12);
+    auto plan = SelectPlan(pred, ScanPlan(0));
+    auto exists = EvaluateExists(*plan, {&db});
+    ASSERT_TRUE(exists.ok());
+    ASSERT_TRUE(exists->prob.exact());
+    EXPECT_NEAR(exists->prob.lo, TrueExists(*plan, db), 1e-12);
   }
 }
 
 TEST(QueryTest, CountDistributionMatchesWorldEnumeration) {
   ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(1, 1);
-  auto dist = CountDistribution(db, pred);
+  auto plan = SelectPlan(Predicate::Eq(1, 1), ScanPlan(0));
+  auto count = EvaluateCount(*plan, {&db});
+  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(count->has_distribution);
 
-  std::vector<double> brute(db.num_blocks() + 1, 0.0);
-  ASSERT_TRUE(db.ForEachWorld(1000,
-                              [&](const std::vector<const Tuple*>& world,
-                                  double p) {
-                                size_t count = 0;
-                                for (const Tuple* t : world) {
-                                  if (pred.Eval(*t)) ++count;
-                                }
-                                brute[count] += p;
-                              })
-                  .ok());
-  ASSERT_EQ(dist.size(), brute.size());
-  for (size_t k = 0; k < dist.size(); ++k) {
-    EXPECT_NEAR(dist[k], brute[k], 1e-12) << "count=" << k;
+  std::vector<double> brute = TrueCountDistribution(*plan, db);
+  const size_t n = std::max(count->distribution.size(), brute.size());
+  EXPECT_EQ(n, db.num_blocks());  // block 1 never has nw=500K
+  for (size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(CountAt(count->distribution, k), CountAt(brute, k), 1e-12)
+        << "count=" << k;
   }
   // It is a distribution.
   double sum = 0.0;
-  for (double p : dist) sum += p;
+  for (double p : count->distribution) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 TEST(QueryTest, CountDistributionMatchesMonteCarlo) {
   ProbDatabase db = SmallDb();
-  Predicate pred = Predicate::Eq(0, 1);
-  auto exact = CountDistribution(db, pred);
-  Rng rng(4711);
-  auto mc = MonteCarloCountDistribution(db, pred, 200000, &rng);
-  ASSERT_EQ(exact.size(), mc.size());
-  for (size_t k = 0; k < exact.size(); ++k) {
-    EXPECT_NEAR(exact[k], mc[k], 0.01) << "count=" << k;
+  auto plan = SelectPlan(Predicate::Eq(0, 1), ScanPlan(0));
+  auto exact = EvaluateCount(*plan, {&db});
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(exact->has_distribution);
+  OracleOptions oracle;
+  oracle.trials = 200000;
+  oracle.seed = 4711;
+  auto mc = MonteCarloPlanOracle(*plan, {&db}, oracle);
+  ASSERT_TRUE(mc.ok());
+  const size_t n =
+      std::max(exact->distribution.size(), mc->count_distribution.size());
+  EXPECT_EQ(n, db.num_blocks() + 1);
+  for (size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(CountAt(exact->distribution, k),
+                CountAt(mc->count_distribution, k), 0.01)
+        << "count=" << k;
   }
 }
 
@@ -193,9 +177,10 @@ TEST(QueryTest, ProjectDistinctDisjointWithinBlock) {
   b.alternatives.push_back({Tuple({0, 0}), 0.3});
   b.alternatives.push_back({Tuple({0, 1}), 0.4});
   ASSERT_TRUE(db.AddBlock(b).ok());
-  auto proj = ProjectDistinct(db, {0});
-  ASSERT_EQ(proj.size(), 1u);
-  EXPECT_NEAR(proj[0].prob, 0.7, 1e-12);
+  auto proj = EvaluatePlan(*ProjectPlan({0}, ScanPlan(0)), {&db});
+  ASSERT_TRUE(proj.ok());
+  ASSERT_EQ(proj->rows.size(), 1u);
+  EXPECT_NEAR(proj->rows[0].prob.lo, 0.7, 1e-12);
 }
 
 TEST(QueryTest, ProjectDistinctIndependentAcrossBlocks) {
@@ -208,31 +193,24 @@ TEST(QueryTest, ProjectDistinctIndependentAcrossBlocks) {
     b.alternatives.push_back({Tuple({1, 0}), 0.5});
     ASSERT_TRUE(db.AddBlock(b).ok());
   }
-  auto proj = ProjectDistinct(db, {0});
+  auto proj = EvaluatePlan(*ProjectPlan({0}, ScanPlan(0)), {&db});
+  ASSERT_TRUE(proj.ok());
   std::map<ValueId, double> by_value;
-  for (const auto& pt : proj) by_value[pt.tuple.value(0)] = pt.prob;
+  for (const PlanRow& row : proj->rows) {
+    by_value[row.tuple.value(0)] = row.prob.lo;
+  }
   EXPECT_NEAR(by_value[0], 0.75, 1e-12);
   EXPECT_NEAR(by_value[1], 0.75, 1e-12);
 }
 
 TEST(QueryTest, ProjectDistinctMatchesWorldEnumeration) {
   ProbDatabase db = SmallDb();
-  auto proj = ProjectDistinct(db, {1});  // project onto nw
-  for (const auto& pt : proj) {
-    ValueId v = pt.tuple.value(0);
-    double brute = 0.0;
-    ASSERT_TRUE(db.ForEachWorld(1000,
-                                [&](const std::vector<const Tuple*>& world,
-                                    double p) {
-                                  for (const Tuple* t : world) {
-                                    if (t->value(1) == v) {
-                                      brute += p;
-                                      return;
-                                    }
-                                  }
-                                })
-                    .ok());
-    EXPECT_NEAR(pt.prob, brute, 1e-12);
+  auto plan = ProjectPlan({1}, ScanPlan(0));  // project onto nw
+  auto proj = EvaluatePlan(*plan, {&db});
+  ASSERT_TRUE(proj.ok());
+  for (const PlanRow& row : proj->rows) {
+    ASSERT_TRUE(row.prob.exact());
+    EXPECT_NEAR(row.prob.lo, TrueMarginal(*plan, db, row.tuple), 1e-12);
   }
 }
 
@@ -249,12 +227,13 @@ TEST(QueryTest, EquiJoinProbabilitiesMultiply) {
   ASSERT_TRUE(right.AddBlock(rb).ok());
 
   // Join on inc == inc: only (0,0) x (0,1) matches.
-  auto joined = EquiJoin(left, right, 0, 0);
+  auto joined = EvaluatePlan(*JoinPlan(ScanPlan(0), ScanPlan(1), 0, 0),
+                             {&left, &right});
   ASSERT_TRUE(joined.ok());
-  ASSERT_EQ(joined->tuples.size(), 1u);
-  EXPECT_NEAR(joined->tuples[0].prob, 0.4 * 0.5, 1e-12);
+  ASSERT_EQ(joined->rows.size(), 1u);
+  EXPECT_NEAR(joined->rows[0].prob.lo, 0.4 * 0.5, 1e-12);
   EXPECT_EQ(joined->schema.num_attrs(), 4u);
-  EXPECT_EQ(joined->tuples[0].tuple.num_attrs(), 4u);
+  EXPECT_EQ(joined->rows[0].tuple.num_attrs(), 4u);
   // Right-hand attributes are renamed.
   AttrId id = 0;
   EXPECT_TRUE(joined->schema.FindAttr("inc_r", &id));
@@ -262,7 +241,8 @@ TEST(QueryTest, EquiJoinProbabilitiesMultiply) {
 
 TEST(QueryTest, EquiJoinValidatesAttrs) {
   ProbDatabase db = SmallDb();
-  EXPECT_FALSE(EquiJoin(db, db, 7, 0).ok());
+  EXPECT_FALSE(
+      EvaluatePlan(*JoinPlan(ScanPlan(0), ScanPlan(0), 7, 0), {&db}).ok());
 }
 
 TEST(QueryTest, SelectThenCountComposes) {
@@ -271,9 +251,13 @@ TEST(QueryTest, SelectThenCountComposes) {
   Predicate nw500 = Predicate::Eq(1, 1);
   // COUNT over select(inc=100K) with pred nw=500K equals COUNT with the
   // conjunction on the original database.
-  double direct = ExpectedCount(db, inc100.And(nw500));
-  double composed = ExpectedCount(Select(db, inc100), nw500);
-  EXPECT_NEAR(direct, composed, 1e-12);
+  auto direct =
+      EvaluateCount(*SelectPlan(inc100.And(nw500), ScanPlan(0)), {&db});
+  auto composed = EvaluateCount(
+      *SelectPlan(nw500, SelectPlan(inc100, ScanPlan(0))), {&db});
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(composed.ok());
+  EXPECT_NEAR(direct->expected.lo, composed->expected.lo, 1e-12);
 }
 
 }  // namespace

@@ -107,6 +107,17 @@ TEST(TupleTest, HashEqualForEqualTuples) {
   EXPECT_NE(h(T({1, 2, 3})), h(T({3, 2, 1})));
 }
 
+// Golden values, computed independently of this code base. TupleHash
+// runs FNV-1a's loop with offset 1469598103934665603, not FNV's basis;
+// it seeds every Gibbs chain (via WorkloadComponentSeed), so the
+// constant must not change.
+TEST(TupleTest, HashGoldenValues) {
+  TupleHash h;
+  EXPECT_EQ(h(Tuple()), 0x14650fb0739d0383ULL);  // the offset itself
+  EXPECT_EQ(h(T({1, 2, kMissingValue})), 0x14ef2463ca5b70c9ULL);
+  EXPECT_EQ(h(T({0, 1, 2})), 0xa940e14f3a8f72beULL);
+}
+
 // ---- Property tests: subsumption is a strict partial order ----
 
 class SubsumptionPropertyTest : public ::testing::TestWithParam<uint64_t> {

@@ -50,8 +50,10 @@ TEST(UmbrellaTest, EndToEndThroughSingleInclude) {
   ASSERT_TRUE(just_broken.Append(broken).ok());
   auto db = ProbDatabase::FromInference(just_broken, *dists);
   ASSERT_TRUE(db.ok());
-  double p = ProbExists(*db, Predicate::Eq(0, broken.value(0)));
-  EXPECT_NEAR(p, 1.0, 1e-9);  // observed cell is certain
+  auto exists = EvaluateExists(
+      *SelectPlan(Predicate::Eq(0, broken.value(0)), ScanPlan(0)), {&*db});
+  ASSERT_TRUE(exists.ok());
+  EXPECT_NEAR(exists->prob.lo, 1.0, 1e-9);  // observed cell is certain
 }
 
 TEST(UmbrellaTest, ModelIoAndRepairThroughSingleInclude) {
