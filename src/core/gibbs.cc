@@ -5,8 +5,12 @@
 // sweep states (common once the chain mixes) skip the match entirely.
 // The cache is insert-only with a per-attribute entry cap — no eviction —
 // and is bypassed during the first sweep while missing cells are still
-// unassigned. Estimates are empirical sample counts, normalized (or
-// additively smoothed) at the end.
+// unassigned. A hit is used in place (no copy of its probabilities), and
+// Record encodes the chain's missing cells straight from the state, so a
+// recorded sweep allocates nothing. Estimates are empirical sample
+// counts, normalized (or additively smoothed) at the end; the tuple-DAG
+// mode (workload.cc) counts shared samples into the same kind of
+// accumulator, decoding each once.
 
 #include "core/gibbs.h"
 
@@ -94,9 +98,8 @@ Result<GibbsSampler::Chain> GibbsSampler::MakeChain(const Tuple& t) const {
   return chain;
 }
 
-Cpd GibbsSampler::EstimateConditional(AttrId attr,
-                                      const std::vector<ValueId>& state,
-                                      bool cacheable) {
+const Cpd& GibbsSampler::EstimateConditional(
+    AttrId attr, const std::vector<ValueId>& state, bool cacheable) {
   const bool use_cache =
       cacheable && options_.enable_cpd_cache && cache_.enabled();
   uint64_t key = 0;
@@ -111,12 +114,12 @@ Cpd GibbsSampler::EstimateConditional(AttrId attr,
   const Mrsl& lattice = model_->mrsl(attr);
   lattice.MatchValues(state, options_.voting.choice,
                       &lattice_scratch_[attr], &match_scratch_);
-  Cpd cpd = match_scratch_.empty()
-                ? Cpd(lattice.head_card())
-                : CombineVotes(lattice, match_scratch_,
-                               options_.voting.scheme);
-  if (use_cache) cache_.Insert(attr, key, cpd);
-  return cpd;
+  computed_ = match_scratch_.empty()
+                  ? Cpd(lattice.head_card())
+                  : CombineVotes(lattice, match_scratch_,
+                                 options_.voting.scheme);
+  if (use_cache) cache_.Insert(attr, key, computed_);
+  return computed_;
 }
 
 void GibbsSampler::Step(Chain* chain) {
@@ -124,7 +127,7 @@ void GibbsSampler::Step(Chain* chain) {
   // so states are not cacheable until the chain is initialized.
   const bool cacheable = chain->initialized;
   for (AttrId attr : chain->missing) {
-    Cpd cpd = EstimateConditional(attr, chain->state, cacheable);
+    const Cpd& cpd = EstimateConditional(attr, chain->state, cacheable);
     chain->state[attr] = cpd.Sample(&rng_);
   }
   chain->initialized = true;
@@ -142,11 +145,8 @@ JointDist GibbsSampler::MakeAccumulator(const Chain& chain) const {
 }
 
 void GibbsSampler::Record(const Chain& chain, JointDist* acc) const {
-  std::vector<ValueId> combo(chain.missing.size());
-  for (size_t i = 0; i < chain.missing.size(); ++i) {
-    combo[i] = chain.state[chain.missing[i]];
-  }
-  acc->add_prob(acc->codec().Encode(combo), 1.0);
+  acc->add_prob(acc->codec().EncodeAt(chain.state.data(), chain.missing),
+                1.0);
 }
 
 Result<JointDist> GibbsSampler::Infer(const Tuple& t) {

@@ -137,9 +137,11 @@ class GibbsSampler {
 
  private:
   /// Conditional estimate for `attr` given every other value in `state`
-  /// (consults the cache when the state is fully assigned).
-  Cpd EstimateConditional(AttrId attr, const std::vector<ValueId>& state,
-                          bool cacheable);
+  /// (consults the cache when the state is fully assigned). The reference
+  /// is valid until the next call.
+  const Cpd& EstimateConditional(AttrId attr,
+                                 const std::vector<ValueId>& state,
+                                 bool cacheable);
 
   const MrslModel* model_;
   GibbsOptions options_;
@@ -147,6 +149,7 @@ class GibbsSampler {
   CpdCache cache_;
   GibbsStats stats_;
   std::vector<uint32_t> match_scratch_;
+  Cpd computed_;  // the last cache miss's estimate
   // Per-attribute matcher scratch, owned here so concurrent samplers over
   // a shared model never touch shared mutable state.
   std::vector<Mrsl::MatchScratch> lattice_scratch_;

@@ -29,16 +29,21 @@ TupleDag::TupleDag(const std::vector<Tuple>& workload) {
   }
 
   const size_t n = nodes_.size();
+  masks_.reserve(n);
+  for (const Tuple& t : nodes_) masks_.push_back(t.CompleteMask());
   parents_.assign(n, {});
   children_.assign(n, {});
   descendants_.assign(n, {});
 
-  // ancestors[v] = every node subsuming v (transitively).
+  // ancestors[v] = every node subsuming v (transitively): Tuple::Subsumes
+  // over the cached masks.
   std::vector<std::vector<uint32_t>> ancestors(n);
   for (size_t u = 0; u < n; ++u) {
+    const AttrMask mu = masks_[u];
     for (size_t v = 0; v < n; ++v) {
-      if (u == v) continue;
-      if (nodes_[u].Subsumes(nodes_[v])) {
+      const AttrMask mv = masks_[v];
+      if (mu == mv || (mu & ~mv) != 0) continue;
+      if (nodes_[u].AgreesOn(nodes_[v], mu)) {
         ancestors[v].push_back(static_cast<uint32_t>(u));
         descendants_[u].push_back(static_cast<uint32_t>(v));
       }
@@ -46,13 +51,16 @@ TupleDag::TupleDag(const std::vector<Tuple>& workload) {
   }
 
   // Hasse reduction: u is an immediate parent of v iff no other ancestor w
-  // of v lies strictly between them (u subsumes w).
+  // of v lies strictly between them (u subsumes w). Both agree with v on
+  // their own cells, so u subsumes w exactly when u's mask is a proper
+  // subset of w's.
   for (size_t v = 0; v < n; ++v) {
     for (uint32_t u : ancestors[v]) {
+      const AttrMask mu = masks_[u];
       bool immediate = true;
       for (uint32_t w : ancestors[v]) {
-        if (w == u) continue;
-        if (nodes_[u].Subsumes(nodes_[w])) {
+        const AttrMask mw = masks_[w];
+        if (mu != mw && (mu & ~mw) == 0) {
           immediate = false;
           break;
         }

@@ -24,6 +24,9 @@ class TupleDag {
   size_t num_nodes() const { return nodes_.size(); }
   const Tuple& node(size_t i) const { return nodes_[i]; }
 
+  /// node(i).CompleteMask(), computed once at construction.
+  AttrMask complete_mask(size_t i) const { return masks_[i]; }
+
   /// Workload positions that collapsed into node `i`.
   const std::vector<uint32_t>& workload_rows(size_t i) const {
     return rows_[i];
@@ -58,6 +61,7 @@ class TupleDag {
 
  private:
   std::vector<Tuple> nodes_;
+  std::vector<AttrMask> masks_;
   std::vector<std::vector<uint32_t>> rows_;
   std::vector<uint32_t> workload_to_node_;
   std::vector<std::vector<uint32_t>> parents_;

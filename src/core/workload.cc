@@ -1,17 +1,24 @@
 // One driver for the four Sec V-B strategies, all sharing the same
 // dedup-through-TupleDag front end and accumulator plumbing. In the
-// tuple-DAG mode, full sweep states are packed into single mixed-radix
-// uint64 codes (hence the hard 64-bit domain-size precondition) so that
-// routing a sample down to subsumed descendants is an integer compare +
-// decode, not a tuple materialization; nodes activate when all their DAG
-// parents complete, and capped sample lists keep memory at O(N) codes per
-// node. The independent-product mode never samples: it multiplies
-// single-attribute ensemble CPDs cell by cell as the paper's baseline.
+// tuple-DAG mode a node's own sweep states are packed into mixed-radix
+// uint64 codes over its missing cells (its Δt codec) and kept only until
+// the node completes. Sharing then decodes each such sample once and
+// tests a descendant only on the cells it assigns beyond the node; every
+// sample a node keeps, own or shared, is counted straight into its Δt,
+// so no per-node sample list outlives the sharing step. Nodes activate
+// when all their DAG parents complete; only the completed node's
+// descendants are checked for cascading completion and only its children
+// for promotion. Everything here runs on the calling thread: a batch
+// that forms one DAG component is one sequential run (the engine only
+// parallelizes across components). The independent-product mode never
+// samples: it multiplies single-attribute ensemble CPDs cell by cell as
+// the paper's baseline.
 
 #include "core/workload.h"
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/timer.h"
 
@@ -40,11 +47,7 @@ JointDist MakeNodeDist(const Schema& schema, const Tuple& node) {
 
 // Accumulates a full-state sample into a node's distribution.
 void AccumulateState(const std::vector<ValueId>& state, JointDist* dist) {
-  std::vector<ValueId> combo(dist->vars().size());
-  for (size_t i = 0; i < dist->vars().size(); ++i) {
-    combo[i] = state[dist->vars()[i]];
-  }
-  dist->add_prob(dist->codec().Encode(combo), 1.0);
+  dist->add_prob(dist->codec().EncodeAt(state.data(), dist->vars()), 1.0);
 }
 
 // True iff `state` agrees with every assigned cell of `node`.
@@ -80,8 +83,10 @@ Status ValidateWorkload(const MrslModel& model,
 
 // Algorithm 3 driver state for one DAG node.
 struct NodeState {
-  std::vector<uint64_t> own_codes;    // samples drawn by this node's chain
-  std::vector<uint64_t> all_codes;    // own + received via sharing, <= N
+  std::vector<uint64_t> own_codes;  // samples drawn by this node's chain,
+                                    // coded by its Δt codec, kept until
+                                    // shared on completion
+  size_t collected = 0;             // own + received samples, <= N
   bool completed = false;
   bool active = false;
   bool burned = false;
@@ -189,55 +194,61 @@ Result<std::vector<JointDist>> RunWorkloadOn(
     }
 
     case SamplingMode::kTupleDag: {
-      MixedRadix codec(SchemaCards(schema));
-      if (codec.Saturated()) {
-        return Status::FailedPrecondition(
-            "schema domain exceeds 64-bit sample codes");
-      }
       std::vector<NodeState> nodes(dag.num_nodes());
       std::vector<uint32_t> active = dag.Roots();
       for (uint32_t r : active) nodes[r].active = true;
       size_t completed_count = 0;
-
-      // Promotes every incomplete, inactive node whose parents are all
-      // completed (Alg 3 lines 18-20 generalized to transitive sharing).
-      auto promote = [&](std::vector<uint32_t>* out) {
-        for (uint32_t s = 0; s < dag.num_nodes(); ++s) {
-          NodeState& ns = nodes[s];
-          if (ns.completed || ns.active) continue;
-          bool ready = true;
-          for (uint32_t p : dag.parents(s)) {
-            if (!nodes[p].completed) {
-              ready = false;
-              break;
-            }
-          }
-          if (ready) {
-            ns.active = true;
-            out->push_back(s);
-          }
-        }
-      };
+      // Nodes completed since the active list was last rebuilt.
+      std::vector<uint32_t> just_completed;
 
       // Marks a node completed and shares its own samples with every
-      // incomplete descendant.
-      std::vector<ValueId> decoded(schema.num_attrs());
+      // incomplete descendant. Each sample is decoded once, into a row of
+      // `x`'s missing cells; a descendant is tested only on the cells it
+      // assigns beyond `x`, since it agrees with `x` on the rest.
+      std::vector<ValueId> rows;
+      std::vector<uint32_t> slot(schema.num_attrs());  // attr -> row cell
+      std::vector<std::pair<uint32_t, ValueId>> extra;  // (cell, value)
+      std::vector<uint32_t> gather;  // a descendant's Δt vars -> row cells
       auto complete_node = [&](uint32_t x) {
-        nodes[x].completed = true;
-        nodes[x].active = false;
+        NodeState& nx = nodes[x];
+        nx.completed = true;
+        nx.active = false;
         ++completed_count;
+        just_completed.push_back(x);
+        const JointDist& dx = node_dists[x];
+        const size_t M = dx.vars().size();
+        const size_t own = nx.own_codes.size();
+        rows.resize(own * M);
+        for (size_t k = 0; k < own; ++k) {
+          dx.codec().DecodeInto(nx.own_codes[k], &rows[k * M]);
+        }
+        for (size_t j = 0; j < M; ++j) slot[dx.vars()[j]] = j;
         for (uint32_t s : dag.descendants(x)) {
           NodeState& ns = nodes[s];
           if (ns.completed) continue;
-          for (uint64_t code : nodes[x].own_codes) {
-            if (ns.all_codes.size() >= N) break;
-            codec.DecodeInto(code, decoded.data());
-            if (StateMatches(decoded, dag.node(s))) {
-              ns.all_codes.push_back(code);
-              ++local.shared_samples;
+          const Tuple& node = dag.node(s);
+          JointDist& ds = node_dists[s];
+          extra.clear();
+          for (AttrMask m = dag.complete_mask(s) & ~dag.complete_mask(x);
+               m != 0; m &= m - 1) {
+            const AttrId a = static_cast<AttrId>(__builtin_ctzll(m));
+            extra.emplace_back(slot[a], node.value(a));
+          }
+          gather.clear();
+          for (AttrId a : ds.vars()) gather.push_back(slot[a]);
+          for (size_t k = 0; k < own && ns.collected < N; ++k) {
+            const ValueId* row = &rows[k * M];
+            bool match = true;
+            for (size_t i = 0; i < extra.size() && match; ++i) {
+              match = row[extra[i].first] == extra[i].second;
             }
+            if (!match) continue;
+            ds.add_prob(ds.codec().EncodeAt(row, gather), 1.0);
+            ++ns.collected;
+            ++local.shared_samples;
           }
         }
+        std::vector<uint64_t>().swap(nx.own_codes);
       };
 
       size_t cursor = 0;
@@ -260,30 +271,61 @@ Result<std::vector<JointDist>> RunWorkloadOn(
         }
         sampler.Step(&nr.chain);
         ++local.points_sampled;
-        uint64_t code = codec.Encode(nr.chain.state);
-        nr.own_codes.push_back(code);
-        if (nr.all_codes.size() < N) nr.all_codes.push_back(code);
+        JointDist& dr = node_dists[r];
+        const uint64_t code =
+            dr.codec().EncodeAt(nr.chain.state.data(), dr.vars());
+        if (!dag.descendants(r).empty()) nr.own_codes.push_back(code);
+        if (nr.collected < N) {
+          dr.add_prob(code, 1.0);
+          ++nr.collected;
+        }
 
-        if (nr.all_codes.size() >= N) {
+        if (nr.collected >= N) {
           complete_node(r);
-          // A shared batch may have pushed descendants to N as well.
+          // A shared batch may have pushed descendants to N as well; no
+          // other node received samples.
           bool changed = true;
           while (changed) {
             changed = false;
-            for (uint32_t s = 0; s < dag.num_nodes(); ++s) {
-              if (!nodes[s].completed && nodes[s].all_codes.size() >= N) {
+            for (uint32_t s : dag.descendants(r)) {
+              if (!nodes[s].completed && nodes[s].collected >= N) {
                 complete_node(s);
                 changed = true;
               }
             }
           }
-          // Rebuild the active list and promote newly rooted nodes.
+          // Drop completed nodes from the active list, then promote, in
+          // id order, the newly rooted nodes: only children of a node
+          // completed just now can have lost their last incomplete parent.
           std::vector<uint32_t> next_active;
           for (uint32_t a : active) {
             if (!nodes[a].completed) next_active.push_back(a);
           }
-          promote(&next_active);
-          for (uint32_t a : next_active) nodes[a].active = true;
+          std::vector<uint32_t> candidates;
+          for (uint32_t x : just_completed) {
+            for (uint32_t c : dag.children(x)) {
+              if (!nodes[c].completed && !nodes[c].active) {
+                candidates.push_back(c);
+              }
+            }
+          }
+          just_completed.clear();
+          std::sort(candidates.begin(), candidates.end());
+          candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                           candidates.end());
+          for (uint32_t c : candidates) {
+            bool ready = true;
+            for (uint32_t p : dag.parents(c)) {
+              if (!nodes[p].completed) {
+                ready = false;
+                break;
+              }
+            }
+            if (ready) {
+              nodes[c].active = true;
+              next_active.push_back(c);
+            }
+          }
           active = std::move(next_active);
           cursor = 0;
         } else {
@@ -293,14 +335,7 @@ Result<std::vector<JointDist>> RunWorkloadOn(
       assert(completed_count == dag.num_nodes());
       (void)completed_count;
 
-      // Turn collected codes into distributions.
-      for (size_t i = 0; i < dag.num_nodes(); ++i) {
-        for (uint64_t code : nodes[i].all_codes) {
-          codec.DecodeInto(code, decoded.data());
-          AccumulateState(decoded, &node_dists[i]);
-        }
-        FinalizeDist(options.gibbs, &node_dists[i]);
-      }
+      for (JointDist& dist : node_dists) FinalizeDist(options.gibbs, &dist);
       break;
     }
 

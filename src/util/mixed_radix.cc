@@ -50,6 +50,19 @@ uint64_t MixedRadix::EncodeWithZero(const std::vector<int32_t>& digits,
   return code;
 }
 
+uint64_t MixedRadix::EncodeAt(const int32_t* digits,
+                              const std::vector<uint32_t>& positions) const {
+  assert(!saturated_);
+  assert(positions.size() == cards_.size());
+  uint64_t code = 0;
+  for (size_t i = 0; i < cards_.size(); ++i) {
+    const int32_t d = digits[positions[i]];
+    assert(d >= 0 && static_cast<uint32_t>(d) < cards_[i]);
+    code += static_cast<uint64_t>(d) * strides_[i];
+  }
+  return code;
+}
+
 std::vector<int32_t> MixedRadix::Decode(uint64_t code) const {
   std::vector<int32_t> out(cards_.size());
   DecodeInto(code, out.data());

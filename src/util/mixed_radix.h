@@ -44,6 +44,12 @@ class MixedRadix {
   uint64_t EncodeWithZero(const std::vector<int32_t>& digits,
                           size_t zero_pos) const;
 
+  /// Encodes the projection digits[positions[0]], digits[positions[1]],
+  /// ... of a longer digit vector (positions.size() == num_positions())
+  /// without gathering it into a temporary first.
+  uint64_t EncodeAt(const int32_t* digits,
+                    const std::vector<uint32_t>& positions) const;
+
   /// Decodes `code` into digits; inverse of Encode.
   std::vector<int32_t> Decode(uint64_t code) const;
 

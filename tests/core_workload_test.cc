@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "bn/bayes_net.h"
 #include "bn/exact.h"
+#include "core/engine.h"
 #include "core/learner.h"
 #include "expfw/metrics.h"
+#include "util/wire.h"
 
 namespace mrsl {
 namespace {
@@ -191,6 +196,93 @@ TEST_F(WorkloadTest, StatsAccounting) {
   EXPECT_EQ(stats.points_sampled, stats.distinct_tuples * (30 + 100));
   EXPECT_EQ(stats.burn_in_points, stats.distinct_tuples * 30);
   EXPECT_GT(stats.wall_seconds, 0.0);
+}
+
+// FNV-1a 64 over the raw bytes of every distribution's probabilities, in
+// workload order, as hex.
+std::string ProbDigest(const std::vector<JointDist>& dists) {
+  std::string bytes;
+  for (const JointDist& d : dists) {
+    bytes.append(reinterpret_cast<const char*>(d.probs().data()),
+                 d.probs().size() * sizeof(double));
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(wire::Fnv1a64(bytes)));
+  return hex;
+}
+
+// Pins the exact Δt of both Gibbs strategies, through RunWorkload and
+// through the engine, on a workload whose subsumption DAG has several
+// levels, several parents per node and duplicates. Sample sharing, the
+// order in which nodes complete and the accumulation order are all inside
+// the digest: any change to them that is not bit-identical fails here.
+TEST(WorkloadGoldenTest, DigestsOfDerivedDistributions) {
+  Rng rng(4242);
+  const BayesNet bn = BayesNet::RandomInstance(
+      Topology::Crown(4, 2).WithCards({3, 4, 5, 5}), &rng);
+  const Relation train = bn.SampleRelation(4000, &rng);
+  LearnOptions lo;
+  lo.support_threshold = 0.005;
+  auto model = LearnModel(train, lo);
+  ASSERT_TRUE(model.ok());
+
+  Relation rel(model->schema());
+  std::vector<Tuple> workload;
+  Rng wl_rng(31);
+  for (int i = 0; i < 60; ++i) {
+    Tuple t = bn.ForwardSample(&wl_rng);
+    ASSERT_TRUE(rel.Append(t).ok());  // complete rows are skipped
+    // 1..4 missing cells; every third tuple also yields a more general
+    // copy with one more cell missing, so chains of subsumers form.
+    const uint64_t mask = 1 + wl_rng.UniformInt(15);
+    for (AttrId a = 0; a < 4; ++a) {
+      if ((mask >> a) & 1) t.set_value(a, kMissingValue);
+    }
+    workload.push_back(t);
+    if (i % 3 == 0) {
+      t.set_value(static_cast<AttrId>(wl_rng.UniformInt(4)), kMissingValue);
+      if (!t.IsComplete()) workload.push_back(t);
+    }
+  }
+  for (const Tuple& t : workload) ASSERT_TRUE(rel.Append(t).ok());
+
+  struct Case {
+    SamplingMode mode;
+    size_t samples;
+    const char* run_workload;
+    const char* derive_batch;
+    uint64_t points_sampled;
+    uint64_t shared_samples;
+  };
+  const Case cases[] = {
+      {SamplingMode::kTupleDag, 60, "fae6f196da34d51b", "df590075b2da826a",
+       2374, 1246},
+      {SamplingMode::kTupleDag, 300, "aeff689308b711bb", "401d7a622cc3b9a1",
+       8497, 6203},
+      {SamplingMode::kTupleAtATime, 60, "5c64b5b32813e4d5",
+       "71eef32581445077", 3680, 0},
+      {SamplingMode::kTupleAtATime, 300, "3dfc122feea98964",
+       "0e244e90faa2f23a", 14720, 0},
+  };
+  for (const Case& c : cases) {
+    WorkloadOptions opts;
+    opts.gibbs.burn_in = 20;
+    opts.gibbs.samples = c.samples;
+    opts.gibbs.seed = 9;
+    WorkloadStats stats;
+    auto direct = RunWorkload(*model, workload, c.mode, opts, &stats);
+    ASSERT_TRUE(direct.ok());
+    Engine engine(&*model);
+    auto derived = engine.DeriveBatch(rel, c.mode, opts);
+    ASSERT_TRUE(derived.ok());
+    SCOPED_TRACE(std::string(SamplingModeName(c.mode)) + " N=" +
+                 std::to_string(c.samples));
+    EXPECT_EQ(ProbDigest(*direct), c.run_workload);
+    EXPECT_EQ(ProbDigest(*derived), c.derive_batch);
+    EXPECT_EQ(stats.points_sampled, c.points_sampled);
+    EXPECT_EQ(stats.shared_samples, c.shared_samples);
+  }
 }
 
 }  // namespace

@@ -74,6 +74,13 @@ TEST(MixedRadixTest, EncodeWithZeroIgnoresPosition) {
   EXPECT_NE(mr.EncodeWithZero({1, 3, 4}, 1), mr.EncodeWithZero({2, 3, 4}, 1));
 }
 
+TEST(MixedRadixTest, EncodeAtEncodesTheProjection) {
+  MixedRadix mr({3, 4, 5});
+  const std::vector<int32_t> full = {9, 4, 2, 9, 3, 1};
+  EXPECT_EQ(mr.EncodeAt(full.data(), {5, 2, 1}), mr.Encode({1, 2, 4}));
+  EXPECT_EQ(mr.EncodeAt(full.data(), {2, 4, 5}), mr.Encode({2, 3, 1}));
+}
+
 TEST(MixedRadixTest, SaturationDetected) {
   // 2^64 overflows: 33 positions of cardinality 4 = 2^66.
   std::vector<uint32_t> cards(33, 4);
